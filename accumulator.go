@@ -72,7 +72,11 @@ func NewAccumulator(s Schema, opts ...Option) (*Accumulator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := buildConfig(opts)
+	return newAccumulator(s, buildConfig(opts)), nil
+}
+
+// newAccumulator builds an empty accumulator for a validated schema.
+func newAccumulator(s Schema, cfg config) *Accumulator {
 	inner := s.internal()
 	if cfg.intercept {
 		inner.Features = append(inner.Features, dataset.Attribute{Name: interceptName, Min: 0, Max: 1})
@@ -92,7 +96,7 @@ func NewAccumulator(s Schema, opts ...Option) (*Accumulator, error) {
 		nz:        dataset.NewNormalizer(inner),
 		d:         d,
 		folds:     folds,
-	}, nil
+	}
 }
 
 // fold returns the fold registered under key, or nil.
@@ -236,15 +240,41 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 	if k == 0 {
 		return 0, nil
 	}
-	for i, v := range flat {
-		if math.IsNaN(v) {
-			if c := i % w; c < w-1 {
-				return 0, fmt.Errorf("funcmech: record %d: feature %q is NaN", i/w, a.schema.Features[c].Name)
+	if err := a.checkRows(flat, w, flat[w-1:], w, k, 0); err != nil {
+		return 0, err
+	}
+	a.foldRows(flat, w, flat[w-1:], w, k, a.n)
+	return k, nil
+}
+
+// checkRows rejects the first NaN among k raw records in strided storage —
+// record i's features are xs[i*xw : i*xw+NumFeatures()], its target
+// ys[i*yw] — naming it by first+i.
+//
+//fm:noalloc
+func (a *Accumulator) checkRows(xs []float64, xw int, ys []float64, yw int, k, first int) error {
+	nf := len(a.schema.Features)
+	for i := 0; i < k; i++ {
+		for c, v := range xs[i*xw : i*xw+nf] {
+			if math.IsNaN(v) {
+				return fmt.Errorf("funcmech: record %d: feature %q is NaN", first+i, a.schema.Features[c].Name)
 			}
-			return 0, fmt.Errorf("funcmech: record %d: target %q is NaN", i/w, a.schema.Target.Name)
+		}
+		if math.IsNaN(ys[i*yw]) {
+			return fmt.Errorf("funcmech: record %d: target %q is NaN", first+i, a.schema.Target.Name)
 		}
 	}
+	return nil
+}
 
+// foldRows folds k NaN-free raw records, laid out as for checkRows, into
+// every fold — the body AddFlat's interleaved rows and SealDataset's
+// separate feature and target columns share. first is the absolute index
+// of record 0, named when a non-boolean target poisons a boolean fold.
+//
+//fm:noalloc
+func (a *Accumulator) foldRows(xs []float64, xw int, ys []float64, yw int, k, first int) {
+	nf := len(a.schema.Features)
 	nb := 0
 	for _, f := range a.folds {
 		if f.rule == core.TargetBoolean {
@@ -268,7 +298,7 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 		if f.err == nil {
 			cut = k
 			for i := 0; i < k; i++ {
-				target := flat[(i+1)*w-1]
+				target := ys[i*yw]
 				switch {
 				case a.threshold != nil:
 					yg[i] = 0
@@ -276,7 +306,7 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 						yg[i] = 1
 					}
 				case target != 0 && target != 1:
-					sc.errs[bi] = fmt.Errorf("funcmech: record %d target %v is not boolean and the accumulator has no binarize threshold; %s refits are unavailable", a.n+i, target, f.key)
+					sc.errs[bi] = fmt.Errorf("funcmech: record %d target %v is not boolean and the accumulator has no binarize threshold; %s refits are unavailable", first+i, target, f.key)
 					cut = i
 				default:
 					yg[i] = target
@@ -290,14 +320,14 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 		bi++
 	}
 	for i := 0; i < k; i++ {
-		features := flat[i*w : i*w+w-1]
+		features := xs[i*xw : i*xw+nf]
 		if a.intercept {
 			copy(sc.row, features)
-			sc.row[len(features)] = 1
+			sc.row[nf] = 1
 			features = sc.row
 		}
 		a.nz.NormalizeRowInto(sc.xs[i*a.d:(i+1)*a.d], features)
-		sc.yl[i] = a.nz.NormalizeLabel(flat[(i+1)*w-1])
+		sc.yl[i] = a.nz.NormalizeLabel(ys[i*yw])
 	}
 
 	bi = 0
@@ -315,7 +345,6 @@ func (a *Accumulator) AddFlat(flat []float64) (int, error) {
 		f.acc.AddFlat(sc.xs, sc.yl)
 	}
 	a.n += k
-	return k, nil
 }
 
 // Len returns the number of records accumulated.

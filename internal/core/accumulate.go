@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"funcmech/internal/dataset"
 	"funcmech/internal/poly"
@@ -295,6 +296,50 @@ func effectiveParallelism(requested, n int) int {
 		p = 1
 	}
 	return p
+}
+
+// FoldPlan is the fixed reduction plan of a sealed fold over n records: the
+// same shard boundaries a run at the given parallelism uses when its
+// governor grants every worker it asks for, so a sealed fold merged in
+// shard order is bit-identical to that run. The plan depends on n and
+// parallelism alone — never on a grant.
+func FoldPlan(n, parallelism int) []dataset.Shard {
+	return dataset.Shards(n, effectiveParallelism(parallelism, n))
+}
+
+// FoldChunkRows is the chunk size, in records, a sealed fold streams a
+// shard through: a fixed multiple of the kernel tile, so chunk boundaries
+// fall on tile boundaries and even the fast-math tier (which reduces its
+// lanes per tile) folds a shard exactly as one AddFlat call over it would.
+func FoldChunkRows(d int) int { return 8 * kernelTileRows(d) }
+
+// RunShards calls fold(i) once for every shard index i in [0, k) on a
+// worker pool and returns when all have finished. Under a governor the pool
+// is as wide as the grant (at most k); the grant never changes which shards
+// exist, so it changes only speed, never the bits of the partials. The
+// kernel phase, tagged with tier, is reported to probe from after the grant.
+func RunShards(k int, gov Governor, probe Probe, tier string, fold func(i int)) {
+	workers := k
+	if gov != nil {
+		granted, release := gov.Acquire(k)
+		defer release()
+		if granted >= 1 && granted < workers {
+			workers = granted
+		}
+	}
+	defer startPhaseTier(probe, PhaseKernel, tier)()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < k; i = int(next.Add(1) - 1) {
+				fold(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ParallelObjective builds task's objective over ds with a bounded worker

@@ -5,9 +5,9 @@
 // already provides:
 //
 //   - Datasets are registered once and shared read-only across requests
-//     (Registry). Registration is the only write; after that every fit reads
-//     the same immutable *funcmech.Dataset, so no copy or lock is needed on
-//     the hot path.
+//     (Registry). The first fit on a fold shape seals the dataset into a
+//     cached accumulator (funcmech.SealDataset); every fit releases from
+//     it in O(d²), so the records are read once per shape, never copied.
 //   - Every tenant owns a lifetime privacy budget enforced by a
 //     *funcmech.Session (Tenants). The session debits atomically before the
 //     fit touches data, so concurrent fits against one tenant can never

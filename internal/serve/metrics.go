@@ -25,6 +25,7 @@ const (
 	metricRefitsErrorTotal         = "fm_refits_error_total"
 	metricIngestRecordsTotal       = "fm_ingest_records_total"
 	metricIngestBatchesTotal       = "fm_ingest_batches_total"
+	metricDatasetSealsTotal        = "fm_dataset_seals_total"
 	metricHTTPResponsesTotal       = "fm_http_responses_total"
 	metricRefusalsTotal            = "fm_refusals_total"
 	metricWALAppendsTotal          = "fm_wal_appends_total"
@@ -75,6 +76,7 @@ func newMetrics(s *Server) *metrics {
 	reg.NewCounterFunc(metricRefitsErrorTotal, "Refits failed for non-budget reasons.", u(st.RefitsError))
 	reg.NewCounterFunc(metricIngestRecordsTotal, "Records accepted across all streams.", u(st.IngestRecords))
 	reg.NewCounterFunc(metricIngestBatchesTotal, "Ingest batches accepted across all streams.", u(st.IngestBatches))
+	reg.NewCounterFunc(metricDatasetSealsTotal, "Registered-dataset folds into cached accumulators.", s.registry.seals.Load)
 	reg.NewCounterFunc(metricWALAppendsTotal, "WAL events journaled by this process.", func() uint64 {
 		if l := s.WAL(); l != nil {
 			return l.Appends()

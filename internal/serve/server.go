@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"funcmech"
+	"funcmech/internal/core"
 	"funcmech/internal/obs"
 	"funcmech/internal/stream"
 	"funcmech/internal/wal"
@@ -481,7 +482,7 @@ type fitOptions struct {
 type fitRequest struct {
 	Tenant  string     `json:"tenant"`
 	Dataset string     `json:"dataset"`
-	Model   string     `json:"model"` // linear | ridge | logistic
+	Model   string     `json:"model"` // a registered task: linear | ridge | logistic | median
 	Epsilon float64    `json:"epsilon"`
 	Options fitOptions `json:"options"`
 }
@@ -554,20 +555,15 @@ func ridgeModels() []string {
 	return names
 }
 
-func (o fitOptions) build(model string, gov funcmech.Governor) ([]funcmech.Option, error) {
-	core, err := buildFitCore(o.PostProcess, o.LambdaFactor, o.Seed, model, o.RidgeWeight)
+// build returns the release options of a fit: everything but the fold
+// shape, which sealKey carries.
+func (o fitOptions) build(model string) ([]funcmech.Option, error) {
+	opts, err := buildFitCore(o.PostProcess, o.LambdaFactor, o.Seed, model, o.RidgeWeight)
 	if err != nil {
 		return nil, err
 	}
-	opts := append([]funcmech.Option{funcmech.WithGovernor(gov)}, core...)
-	if o.Intercept {
-		opts = append(opts, funcmech.WithIntercept())
-	}
-	if o.Parallelism != 0 {
-		opts = append(opts, funcmech.WithParallelism(o.Parallelism))
-	}
-	if o.Reproducible != nil {
-		opts = append(opts, funcmech.WithReproducible(*o.Reproducible))
+	if o.Parallelism < 0 {
+		return nil, fmt.Errorf("negative parallelism %d", o.Parallelism)
 	}
 	if o.BinarizeThreshold != nil {
 		// buildFitCore above already resolved the model, so the lookup here
@@ -575,9 +571,22 @@ func (o fitOptions) build(model string, gov funcmech.Governor) ([]funcmech.Optio
 		if spec, _ := funcmech.LookupTask(model); !spec.Boolean {
 			return nil, fmt.Errorf("binarize_threshold applies only to boolean-target models")
 		}
-		opts = append(opts, funcmech.WithBinarizeThreshold(*o.BinarizeThreshold))
 	}
 	return opts, nil
+}
+
+// sealKey returns the fold shape the options select over n records, with
+// the shard count resolved exactly as funcmech.SealDataset resolves it.
+func (o fitOptions) sealKey(n int) sealKey {
+	k := sealKey{
+		intercept: o.Intercept,
+		fastMath:  o.Reproducible != nil && !*o.Reproducible,
+		shards:    len(core.FoldPlan(n, o.Parallelism)),
+	}
+	if o.BinarizeThreshold != nil {
+		k.binarize, k.threshold = true, *o.BinarizeThreshold
+	}
+	return k
 }
 
 // handleFit is an audited noise release site: the fit below draws Laplace
@@ -597,24 +606,30 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dsSpan := tr.StartSpan(obs.SpanDataset)
-	ds, ok := s.registry.Lookup(req.Dataset)
-	if ok {
-		dsSpan.End(obs.Int("records", int64(ds.Len())), obs.Int("features", int64(ds.NumFeatures())))
-	} else {
+	entry, ok := s.registry.entry(req.Dataset)
+	if !ok {
 		dsSpan.End()
 		s.writeError(w, http.StatusNotFound, codeNotFound, "unknown dataset %q", req.Dataset)
 		return
 	}
-	// The governor is wrapped per request so time blocked on worker capacity
-	// lands on this trace as a queue_wait span; the probe attributes kernel
-	// vs solve vs noise time the same way. With no trace on the context both
-	// wrappers degrade to the bare calls.
-	opts, err := req.Options.build(req.Model, tracedGovernor{g: s.governor, tr: tr})
+	key := req.Options.sealKey(entry.ds.Len())
+	cache := "miss"
+	if entry.cached(key) {
+		cache = "hit"
+	}
+	dsSpan.End(obs.Int("records", int64(entry.ds.Len())), obs.Int("features", int64(entry.ds.NumFeatures())),
+		obs.Str("cache", cache))
+	opts, err := req.Options.build(req.Model)
 	if err != nil {
 		s.writeOptionsError(w, err)
 		return
 	}
-	opts = append(opts, funcmech.WithProbe(obs.TraceProbe{T: tr}))
+	// The probe attributes kernel vs solve vs noise time to this trace, and
+	// the governor is wrapped so time blocked on worker capacity lands here
+	// as a queue_wait span. With no trace on the context both degrade to the
+	// bare calls.
+	probe := funcmech.WithProbe(obs.TraceProbe{T: tr})
+	opts = append(opts, probe)
 	if req.Epsilon <= 0 {
 		s.writeError(w, http.StatusBadRequest, codeInvalidRequest, "non-positive epsilon %v", req.Epsilon)
 		return
@@ -643,13 +658,24 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.writeChargeError(w, tenant, err)
 		return
 	}
-	// The model name was resolved against the task registry during option
-	// validation above, so FitTask cannot miss here — every registered task
-	// is servable through this one call, with no per-task dispatch.
-	var weights []float64
-	m, report, err := funcmech.FitTask(ds, req.Model, req.Epsilon, opts...)
+	// The first fit on a fold shape seals the dataset — the one pass over
+	// its records, no noise drawn — and every fit releases from the sealed
+	// accumulator in O(d²). The model name was resolved against the task
+	// registry during option validation above, so the release cannot miss.
+	acc, err := s.registry.accumulator(entry, key, func(ds *funcmech.Dataset) (*funcmech.Accumulator, error) {
+		gov := funcmech.WithGovernor(tracedGovernor{g: s.governor, tr: tr})
+		return funcmech.SealDataset(ds, append(key.options(), gov, probe)...)
+	})
+	var (
+		weights []float64
+		report  *funcmech.Report
+	)
 	if err == nil {
-		weights = m.Weights()
+		var m *funcmech.TaskModel
+		m, report, err = funcmech.FitTaskFromAccumulator(acc, req.Model, req.Epsilon, opts...)
+		if err == nil {
+			weights = m.Weights()
+		}
 	}
 	elapsed := time.Since(start)
 	s.stats.RecordFit(elapsed, outcomeFor(err))

@@ -87,10 +87,13 @@ type Governor = core.Governor
 // parallelism under a GOMAXPROCS-derived cap. Acquire may block until
 // capacity frees, delaying the fit rather than degrading neighbours.
 //
-// Because the granted worker count depends on concurrent load, models fitted
-// under a governor are reproducible only to floating-point round-off across
-// runs (same caveat as varying WithParallelism); the privacy guarantee is
-// unchanged. A nil governor is ignored.
+// Under SealDataset the grant decides only how many goroutines work through
+// a fixed shard plan, so the sealed coefficients — and every fit released
+// from them at a fixed seed, which is how fmserve serves /v1/fit — are
+// bit-identical whatever the grant. FitTask still sizes its shards from the
+// grant, so its models under a governor are reproducible only to
+// floating-point round-off across runs (the WithParallelism caveat). The
+// privacy guarantee is unchanged either way. A nil governor is ignored.
 func WithGovernor(g Governor) Option {
 	return func(c *config) { c.opts.Governor = g }
 }

@@ -28,13 +28,25 @@ SNAPDIR="$WORKDIR/snapshots"
 WALDIR="$WORKDIR/wal"
 SERVER_PID=""
 
+BURST_PIDS=() # backgrounded requests; cleanup kills any still running
+
+# cleanup runs on every exit, signals included (their traps exit, which
+# fires the EXIT trap), so no server or curl outlives the script.
 cleanup() {
+  local pid
+  for pid in "${BURST_PIDS[@]}"; do
+    pkill -9 -P "$pid" 2>/dev/null || true
+    kill -9 "$pid" 2>/dev/null || true
+  done
   if [ -n "$SERVER_PID" ] && kill -0 "$SERVER_PID" 2>/dev/null; then
     kill -9 "$SERVER_PID" 2>/dev/null || true
   fi
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
+trap 'exit 129' HUP
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 fail() {
   echo "e2e-crash: FAIL: $*" >&2
@@ -114,7 +126,6 @@ code=$(curl -s -o "$WORKDIR/refit.json" -w '%{http_code}' -X POST "$BASE/v1/stre
 # Tenant burst: fits racing the kill — whatever returned 200 before the
 # SIGKILL is a floor on the recovered spend (each 200 implies its charge was
 # fsynced before noise was drawn). Over-counting in-flight fits is allowed.
-BURST_PIDS=()
 for b in 1 2 3 4; do
   fit burst 0.25 "$WORKDIR/burst$b.json" >"$WORKDIR/bcode$b" &
   BURST_PIDS+=("$!")
@@ -126,6 +137,7 @@ kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 for pid in "${BURST_PIDS[@]}"; do wait "$pid" 2>/dev/null || true; done
+BURST_PIDS=()
 burst_floor=0
 for b in 1 2 3 4; do
   if [ "$(cat "$WORKDIR/bcode$b" 2>/dev/null)" = 200 ]; then

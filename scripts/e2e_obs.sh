@@ -26,6 +26,8 @@ SNAPDIR="$WORKDIR/snapshots"
 WALDIR="$WORKDIR/wal"
 SERVER_PID=""
 
+# cleanup runs on every exit, signals included (their traps exit, which
+# fires the EXIT trap), so no server outlives the script.
 cleanup() {
   if [ -n "$SERVER_PID" ] && kill -0 "$SERVER_PID" 2>/dev/null; then
     kill -9 "$SERVER_PID" 2>/dev/null || true
@@ -33,6 +35,9 @@ cleanup() {
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
+trap 'exit 129' HUP
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 fail() {
   echo "e2e-obs: FAIL: $*" >&2
@@ -150,6 +155,23 @@ for span in handler queue_wait kernel solve noise wal_fsync; do
     "$WORKDIR/traces.json" >/dev/null \
     || fail "trace e2eobs00000001 missing span $span"
 done
+# Fit 1 sealed the dataset (cache=miss, the kernel span above); fits 2-3
+# released from the sealed accumulator: cache=hit and no kernel span.
+cache_of() { # cache_of ID -> the dataset span's cache attribute
+  jq -r --arg id "$1" \
+    '[.traces[] | select(.id==$id) | .spans[] | select(.name=="dataset") | .attrs.cache][0]' \
+    "$WORKDIR/traces.json"
+}
+[ "$(cache_of e2eobs00000001)" = miss ] || fail "fit 1 dataset span cache=$(cache_of e2eobs00000001), want miss"
+for i in 2 3; do
+  [ "$(cache_of e2eobs0000000$i)" = hit ] || fail "fit $i dataset span cache=$(cache_of e2eobs0000000$i), want hit"
+  jq -e --arg id "e2eobs0000000$i" \
+    '[.traces[] | select(.id==$id) | .spans[] | select(.name=="kernel")] | length == 0' \
+    "$WORKDIR/traces.json" >/dev/null \
+    || fail "fit $i hit the seal cache but still ran a kernel span"
+done
+[ "$(metric fm_dataset_seals_total)" = 1 ] \
+  || fail "fm_dataset_seals_total = $(metric fm_dataset_seals_total), want 1 (three fits, one fold shape)"
 
 echo "e2e-obs: phase 2 — kill -9; scraped ε-spend must match WAL-replayed spend"
 kill -9 "$SERVER_PID"

@@ -14,13 +14,25 @@ BASE="http://$ADDR"
 WORKDIR="$(mktemp -d)"
 SERVER_PID=""
 
+CURL_PIDS=() # backgrounded requests; cleanup kills any still running
+
+# cleanup runs on every exit, signals included (their traps exit, which
+# fires the EXIT trap), so no server or curl outlives the script.
 cleanup() {
+  local pid
+  for pid in "${CURL_PIDS[@]}"; do
+    pkill -9 -P "$pid" 2>/dev/null || true
+    kill -9 "$pid" 2>/dev/null || true
+  done
   if [ -n "$SERVER_PID" ] && kill -0 "$SERVER_PID" 2>/dev/null; then
     kill -9 "$SERVER_PID" 2>/dev/null || true
   fi
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
+trap 'exit 129' HUP
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 fail() {
   echo "e2e: FAIL: $*" >&2
@@ -55,7 +67,6 @@ code=$(curl -s -o "$WORKDIR/tenant.json" -w '%{http_code}' -X POST "$BASE/v1/ten
 fit_body='{"tenant":"acme","dataset":"income","model":"linear","epsilon":1.0,"options":{"intercept":true}}'
 
 echo "e2e: driving 3 concurrent fits"
-CURL_PIDS=()
 for i in 1 2 3; do
   curl -s -o "$WORKDIR/fit$i.json" -w '%{http_code}' -X POST "$BASE/v1/fit" \
     -H 'Content-Type: application/json' -d "$fit_body" >"$WORKDIR/code$i" &
@@ -65,6 +76,7 @@ done
 for pid in "${CURL_PIDS[@]}"; do
   wait "$pid" || fail "concurrent fit request (pid $pid) failed"
 done
+CURL_PIDS=()
 
 for i in 1 2 3; do
   code=$(cat "$WORKDIR/code$i")

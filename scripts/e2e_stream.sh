@@ -26,13 +26,25 @@ WORKDIR="$(mktemp -d)"
 SNAPDIR="$WORKDIR/snapshots"
 SERVER_PID=""
 
+CURL_PIDS=() # backgrounded requests; cleanup kills any still running
+
+# cleanup runs on every exit, signals included (their traps exit, which
+# fires the EXIT trap), so no server or curl outlives the script.
 cleanup() {
+  local pid
+  for pid in "${CURL_PIDS[@]}"; do
+    pkill -9 -P "$pid" 2>/dev/null || true
+    kill -9 "$pid" 2>/dev/null || true
+  done
   if [ -n "$SERVER_PID" ] && kill -0 "$SERVER_PID" 2>/dev/null; then
     kill -9 "$SERVER_PID" 2>/dev/null || true
   fi
   rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
+trap 'exit 129' HUP
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 fail() {
   echo "e2e-stream: FAIL: $*" >&2
@@ -87,7 +99,6 @@ for b in 1 2 3; do
 done
 
 echo "e2e-stream: ingesting the 3 batches concurrently"
-CURL_PIDS=()
 for b in 1 2 3; do
   curl -s -o "$WORKDIR/ingest$b.json" -w '%{http_code}' -X POST "$BASE/v1/streams/readings/ingest" \
     -H 'Content-Type: application/json' -d @"$WORKDIR/batch$b.json" >"$WORKDIR/icode$b" &
@@ -96,6 +107,7 @@ done
 for pid in "${CURL_PIDS[@]}"; do
   wait "$pid" || fail "concurrent ingest request (pid $pid) failed"
 done
+CURL_PIDS=()
 for b in 1 2 3; do
   code=$(cat "$WORKDIR/icode$b")
   [ "$code" = 200 ] || fail "ingest $b returned $code: $(cat "$WORKDIR/ingest$b.json")"
