@@ -72,11 +72,13 @@ func NewAccumulator(s Schema, opts ...Option) (*Accumulator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return newAccumulator(s, buildConfig(opts)), nil
+	return newAccumulator(s, buildConfig(opts), ""), nil
 }
 
-// newAccumulator builds an empty accumulator for a validated schema.
-func newAccumulator(s Schema, cfg config) *Accumulator {
+// newAccumulator builds an empty accumulator for a validated schema,
+// maintaining only the fold named by only (every registered fold when only
+// is empty).
+func newAccumulator(s Schema, cfg config, only string) *Accumulator {
 	inner := s.internal()
 	if cfg.intercept {
 		inner.Features = append(inner.Features, dataset.Attribute{Name: interceptName, Min: 0, Max: 1})
@@ -85,6 +87,9 @@ func newAccumulator(s Schema, cfg config) *Accumulator {
 	specs := core.FoldSpecs()
 	folds := make([]*taskFold, 0, len(specs))
 	for _, spec := range specs {
+		if only != "" && spec.Name != only {
+			continue
+		}
 		acc := core.NewAccumulator(spec.Task, d)
 		acc.SetFastMath(cfg.opts.FastMath)
 		folds = append(folds, &taskFold{key: spec.Name, rule: spec.Target, acc: acc})
@@ -113,9 +118,10 @@ func (a *Accumulator) fold(key string) *taskFold {
 // tier (the default) rather than the fast-math tier.
 func (a *Accumulator) Reproducible() bool { return !a.folds[0].acc.FastMath() }
 
-// poisonFold records the first label-derivation failure for a fold.
-func poisonFold(f *taskFold, record int, target float64) {
-	f.err = fmt.Errorf("funcmech: record %d target %v is not boolean and the accumulator has no binarize threshold; %s refits are unavailable", record, target, f.key)
+// nonBooleanTarget is the error that poisons a boolean fold: the record's
+// target is not 0/1 and no binarize threshold derives one.
+func nonBooleanTarget(f *taskFold, record int, target float64) error {
+	return fmt.Errorf("funcmech: record %d target %v is not boolean and no WithBinarizeThreshold was set; %s fits are unavailable", record, target, f.key)
 }
 
 // Add folds one raw record into every fold's coefficients. Features are
@@ -149,7 +155,7 @@ func (a *Accumulator) Add(features []float64, target float64) error {
 	} else if target != 0 && target != 1 {
 		for _, f := range a.folds {
 			if f.rule == core.TargetBoolean && f.err == nil {
-				poisonFold(f, a.n, target)
+				f.err = nonBooleanTarget(f, a.n, target)
 			}
 		}
 	}
@@ -306,7 +312,7 @@ func (a *Accumulator) foldRows(xs []float64, xw int, ys []float64, yw int, k, fi
 						yg[i] = 1
 					}
 				case target != 0 && target != 1:
-					sc.errs[bi] = fmt.Errorf("funcmech: record %d target %v is not boolean and the accumulator has no binarize threshold; %s refits are unavailable", first+i, target, f.key)
+					sc.errs[bi] = nonBooleanTarget(f, first+i, target)
 					cut = i
 				default:
 					yg[i] = target

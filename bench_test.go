@@ -259,7 +259,7 @@ func BenchmarkObjective(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		kind experiments.TaskKind
-		task core.Task
+		task core.RecordTask
 	}{
 		{"linear", experiments.TaskLinear, core.LinearTask{}},
 		{"logistic", experiments.TaskLogistic, core.LogisticTask{}},
@@ -269,7 +269,7 @@ func BenchmarkObjective(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=100k/d=14/parallelism=%d", tc.name, par), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					core.ParallelObjective(tc.task, ds, par)
+					core.FoldObjective(tc.task, ds, core.Options{Parallelism: par})
 				}
 			})
 		}
@@ -518,23 +518,49 @@ func BenchmarkRefitFromStream(b *testing.B) {
 	}
 }
 
-// PublicAPI benchmark: one full private fit through the façade.
-func BenchmarkPublicAPILinearRegression(b *testing.B) {
-	raw := census.GenerateN(census.US(), 20000, 1)
+// publicCensus returns n generated US census records as a public Dataset.
+func publicCensus(n int) *funcmech.Dataset {
+	raw := census.GenerateN(census.US(), n, 1)
 	var schema funcmech.Schema
 	for _, a := range raw.Schema.Features {
 		schema.Features = append(schema.Features, funcmech.Attribute{Name: a.Name, Min: a.Min, Max: a.Max})
 	}
 	schema.Target = funcmech.Attribute{Name: raw.Schema.Target.Name, Min: raw.Schema.Target.Min, Max: raw.Schema.Target.Max}
 	ds := funcmech.NewDataset(schema)
-	for i := 0; i < raw.N(); i++ {
-		ds.Append(raw.Row(i), raw.Label(i))
-	}
+	ds.AppendBatch(raw.FlatRows(0, raw.N()), raw.Labels())
+	return ds
+}
+
+// PublicAPI benchmark: one full private fit through the façade.
+func BenchmarkPublicAPILinearRegression(b *testing.B) {
+	ds := publicCensus(20000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := funcmech.LinearRegression(ds, 0.8, funcmech.WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFitTask is the library's one-shot fit path end to end — seal the
+// task's fold straight from the dataset's storage, then release — over the
+// 13 census features plus an intercept. B/op is the headline alongside
+// time: a fit copies no part of the dataset.
+func BenchmarkFitTask(b *testing.B) {
+	ds := publicCensus(200000)
+	for _, task := range []string{"linear", "logistic", "median"} {
+		opts := []funcmech.Option{funcmech.WithIntercept()}
+		if task == "logistic" {
+			opts = append(opts, funcmech.WithBinarizeThreshold(census.US().IncomeThreshold))
+		}
+		b.Run(fmt.Sprintf("%s/n=200k/d=%d", task, ds.NumFeatures()+1), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := funcmech.FitTask(ds, task, 0.8, append(opts, funcmech.WithSeed(int64(i)))...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

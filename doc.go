@@ -28,11 +28,16 @@
 // # Performance
 //
 // A fit's dominant cost on large datasets is accumulating the objective's
-// polynomial coefficients, an O(n·d²) pass over the records. That pass is
-// sharded across a bounded worker pool — runtime.GOMAXPROCS(0) workers by
-// default, tunable per fit with WithParallelism(n); WithParallelism(1)
-// forces the serial sweep. Parallelism never changes the privacy
-// calibration, only the floating-point summation order.
+// polynomial coefficients, an O(n·d²) pass over the records. A one-shot fit
+// is that fold followed by a release: FitTask streams the records straight
+// from the dataset's storage into the requested task's coefficient sums —
+// no copy of the data — and releases them as FitTaskFromAccumulator does.
+// The pass is sharded on a fixed reduction plan — runtime.GOMAXPROCS(0)
+// shards by default, tunable per fit with WithParallelism(n);
+// WithParallelism(1) forces the serial sweep. Parallelism never changes the
+// privacy calibration, only the floating-point summation order; a
+// governor's grant (WithGovernor) changes neither, only the number of
+// goroutines working through the shards.
 //
 // Within each shard the pass runs as a blocked, SYRK-style kernel over the
 // dataset's flat columnar storage (one contiguous row-major array, stride
@@ -45,7 +50,8 @@
 // independent add chains, and floating-point addition on distinct cells
 // cannot interact. A fit, refit, or snapshot-restored refit therefore
 // produces the same bits the scalar record-by-record fold always produced
-// (fixed seed, fixed parallelism), while running several times faster.
+// (fixed seed, fixed parallelism, any governor grant, in the library or in
+// fmserve), while running several times faster.
 //
 // # Streaming and incremental refits
 //

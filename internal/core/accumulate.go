@@ -22,16 +22,16 @@ import (
 //     mirror onto the lower triangle happens once at finalization. That
 //     halves the inner-loop work without changing any coefficient — the
 //     mirrored entry receives the identical product sequence va·vb.
-//   - Determinism: shard boundaries are a pure function of (n, workers) and
+//   - Determinism: shard boundaries are a pure function of n and the
+//     requested parallelism (FoldPlan), never of a governor's grant, and
 //     partials merge in index order, so a run is bit-for-bit reproducible at
 //     a fixed parallelism. Across different parallelism levels the floating
 //     point summation tree differs, so coefficients agree only to round-off
 //     (≈1e-15 relative); the privacy guarantee is indifferent to either.
 
 // RecordTask is a Task whose objective decomposes record by record — the
-// property the sharded accumulator exploits. Tasks that cannot decompose
-// (none of the built-ins) simply don't implement it and fall back to their
-// serial Objective.
+// property the sharded accumulator exploits, and the only kind of task the
+// mechanism folds.
 type RecordTask interface {
 	Task
 	// AccumulateRecord adds record (x, y)'s contribution to a partial
@@ -159,7 +159,8 @@ func (a *Accumulator) AddFlat(xs []float64, ys []float64) {
 }
 
 // Merge folds another accumulator's partial into a. Shards must be merged
-// in index order for reproducibility; ParallelObjective does so.
+// in index order for reproducibility; FoldObjective and the root package's
+// seal do so.
 func (a *Accumulator) Merge(o *Accumulator) {
 	if o.d != a.d {
 		panic(fmt.Sprintf("core: Merge dim mismatch %d vs %d", a.d, o.d))
@@ -298,11 +299,9 @@ func effectiveParallelism(requested, n int) int {
 	return p
 }
 
-// FoldPlan is the fixed reduction plan of a sealed fold over n records: the
-// same shard boundaries a run at the given parallelism uses when its
-// governor grants every worker it asks for, so a sealed fold merged in
-// shard order is bit-identical to that run. The plan depends on n and
-// parallelism alone — never on a grant.
+// FoldPlan is the fixed reduction plan of a fold over n records at the given
+// parallelism, shared by FoldObjective and the root package's seal. The plan
+// depends on n and parallelism alone — never on a grant.
 func FoldPlan(n, parallelism int) []dataset.Shard {
 	return dataset.Shards(n, effectiveParallelism(parallelism, n))
 }
@@ -342,69 +341,40 @@ func RunShards(k int, gov Governor, probe Probe, tier string, fold func(i int)) 
 	wg.Wait()
 }
 
-// ParallelObjective builds task's objective over ds with a bounded worker
-// pool. parallelism ≤ 0 means runtime.GOMAXPROCS(0); 1 forces the serial
-// path. Tasks that don't implement RecordTask fall back to their own
-// Objective. The result is deterministic for a fixed (n, parallelism) pair:
-// shard boundaries are pure functions of the inputs and partials merge in
-// shard index order.
-func ParallelObjective(task Task, ds *dataset.Dataset, parallelism int) *poly.Quadratic {
-	return governedObjective(task, ds, parallelism, nil, nil, false)
-}
-
-// GovernedObjective is ParallelObjective under a Governor: the resolved
-// worker count is submitted to gov and the pool uses only what is granted,
-// so concurrent runs sharing the governor never oversubscribe its global
-// cap. A nil gov degenerates to ParallelObjective.
-func GovernedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Governor) *poly.Quadratic {
-	return governedObjective(task, ds, parallelism, gov, nil, false)
-}
-
-// governedObjective additionally reports the kernel phase — tagged with the
-// compute tier the dispatch selects — to probe, and routes accumulation
-// through the fast-math tier when fastMath is set. The phase starts only
-// after the governor grant, so time blocked on Acquire (the caller's
-// queue-wait span) is never attributed to compute.
-func governedObjective(task Task, ds *dataset.Dataset, parallelism int, gov Governor, probe Probe, fastMath bool) *poly.Quadratic {
-	rt, ok := task.(RecordTask)
-	if !ok {
-		endKernel := startPhase(probe, PhaseKernel)
-		defer endKernel()
-		return task.Objective(ds)
-	}
-	workers := effectiveParallelism(parallelism, ds.N())
-	if gov != nil {
-		granted, release := gov.Acquire(workers)
-		defer release()
-		if granted < workers && granted >= 1 {
-			workers = granted
+// FoldObjective builds task's exact objective over ds on the fixed
+// reduction plan SealDataset uses: the FoldPlan shards for
+// opts.Parallelism, each folded into its own partial on the RunShards pool
+// (reporting the kernel phase on opts.Probe, on the tier opts.FastMath
+// selects), merged in shard order. A governor's grant sizes only the pool,
+// so the result is bit-identical whatever the grant; it depends on n and
+// the requested parallelism alone.
+func FoldObjective(task RecordTask, ds *dataset.Dataset, opts Options) *poly.Quadratic {
+	tier := KernelTier(ds.D(), opts.FastMath)
+	if effectiveParallelism(opts.Parallelism, ds.N()) == 1 {
+		// The plan's single [0, n) shard, folded inline: the serial path
+		// spends no pool, closure or shard slice.
+		if opts.Governor != nil {
+			_, release := opts.Governor.Acquire(1)
+			defer release()
 		}
+		defer startPhaseTier(opts.Probe, PhaseKernel, tier)()
+		return foldShard(task, ds, dataset.Shard{Hi: ds.N()}, opts.FastMath).Quadratic()
 	}
-	endKernel := startPhaseTier(probe, PhaseKernel, KernelTier(ds.D(), fastMath))
-	defer endKernel()
-	if workers == 1 {
-		a := NewAccumulator(rt, ds.D())
-		a.SetFastMath(fastMath)
-		a.AddBatch(ds, dataset.Shard{Lo: 0, Hi: ds.N()})
-		return a.Quadratic()
+	shards := FoldPlan(ds.N(), opts.Parallelism)
+	parts := make([]*Accumulator, len(shards))
+	RunShards(len(shards), opts.Governor, opts.Probe, tier, func(i int) {
+		parts[i] = foldShard(task, ds, shards[i], opts.FastMath)
+	})
+	for _, p := range parts[1:] {
+		parts[0].Merge(p)
 	}
-	shards := dataset.Shards(ds.N(), workers)
-	accs := make([]*Accumulator, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s dataset.Shard) {
-			defer wg.Done()
-			a := NewAccumulator(rt, ds.D())
-			a.SetFastMath(fastMath)
-			a.AddBatch(ds, s)
-			accs[i] = a
-		}(i, s)
-	}
-	wg.Wait()
-	root := accs[0]
-	for _, a := range accs[1:] {
-		root.Merge(a)
-	}
-	return root.Quadratic()
+	return parts[0].Quadratic()
+}
+
+// foldShard folds shard s of ds into a fresh accumulator.
+func foldShard(task RecordTask, ds *dataset.Dataset, s dataset.Shard, fastMath bool) *Accumulator {
+	a := NewAccumulator(task, ds.D())
+	a.SetFastMath(fastMath)
+	a.AddBatch(ds, s)
+	return a
 }

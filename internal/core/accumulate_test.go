@@ -55,7 +55,7 @@ func quadraticsClose(a, b *poly.Quadratic, tol float64) (float64, bool) {
 // shardedObjective builds the objective through explicit shard accumulators
 // merged in index order — the parallel algorithm run serially, so the test
 // exercises the exact merge semantics regardless of the minShardRecords
-// gate inside ParallelObjective.
+// gate inside FoldPlan.
 func shardedObjective(rt RecordTask, ds *dataset.Dataset, shards int) *poly.Quadratic {
 	parts := dataset.Shards(ds.N(), shards)
 	root := NewAccumulator(rt, ds.D())
@@ -72,7 +72,7 @@ func shardedObjective(rt RecordTask, ds *dataset.Dataset, shards int) *poly.Quad
 // objective matches the serial one for both tasks across (n, d, parallelism)
 // combinations — exactly when the shard structure degenerates to one shard,
 // within 1e-12 relative otherwise (different summation trees).
-func TestParallelObjectiveMatchesSerial(t *testing.T) {
+func TestFoldObjectiveMatchesSerial(t *testing.T) {
 	tasks := []RecordTask{LinearTask{}, LogisticTask{}, RidgeTask{Weight: 0.5}}
 	cases := []struct{ n, d, par int }{
 		{10, 2, 2},
@@ -95,17 +95,22 @@ func TestParallelObjectiveMatchesSerial(t *testing.T) {
 				t.Errorf("%s n=%d d=%d par=%d: sharded objective matrix not exactly symmetric",
 					task.Name(), c.n, c.d, c.par)
 			}
+			folded := FoldObjective(task, ds, Options{Parallelism: c.par})
+			if worst, ok := quadraticsClose(serial, folded, 1e-12); !ok {
+				t.Errorf("%s n=%d d=%d par=%d: FoldObjective diverges from serial by %v",
+					task.Name(), c.n, c.d, c.par, worst)
+			}
 		}
 	}
 }
 
-// ParallelObjective itself (goroutine pool included) must agree with the
+// FoldObjective itself (goroutine pool included) must agree with the
 // serial sweep on an input large enough to clear the minimum shard size.
-func TestParallelObjectivePoolMatchesSerial(t *testing.T) {
+func TestFoldObjectivePoolMatchesSerial(t *testing.T) {
 	for _, task := range []RecordTask{LinearTask{}, LogisticTask{}} {
 		ds := randomTaskDataset(t, task, 3*minShardRecords, 6, 11)
-		serial := ParallelObjective(task, ds, 1)
-		parallel := ParallelObjective(task, ds, 3)
+		serial := FoldObjective(task, ds, Options{Parallelism: 1})
+		parallel := FoldObjective(task, ds, Options{Parallelism: 3})
 		if worst, ok := quadraticsClose(serial, parallel, 1e-12); !ok {
 			t.Errorf("%s: pooled objective diverges from serial by %v", task.Name(), worst)
 		}
@@ -117,10 +122,10 @@ func TestParallelObjectivePoolMatchesSerial(t *testing.T) {
 
 // Fixed (n, parallelism) must be bit-for-bit reproducible: shard boundaries
 // and merge order are pure functions of the inputs.
-func TestParallelObjectiveDeterministic(t *testing.T) {
+func TestFoldObjectiveDeterministic(t *testing.T) {
 	ds := randomTaskDataset(t, LinearTask{}, 3*minShardRecords, 5, 7)
-	a := ParallelObjective(LinearTask{}, ds, 3)
-	b := ParallelObjective(LinearTask{}, ds, 3)
+	a := FoldObjective(LinearTask{}, ds, Options{Parallelism: 3})
+	b := FoldObjective(LinearTask{}, ds, Options{Parallelism: 3})
 	if !a.M.EqualApproxMat(b.M, 0) || a.Beta != b.Beta {
 		t.Fatal("repeated parallel accumulation is not bit-identical")
 	}
@@ -199,33 +204,6 @@ func TestLogisticBetaCountsMergedRecords(t *testing.T) {
 	sharded := shardedObjective(LogisticTask{}, ds, 5)
 	if want := 500 * math.Ln2; math.Abs(sharded.Beta-want) > 1e-9 {
 		t.Fatalf("β = %v, want %v", sharded.Beta, want)
-	}
-}
-
-// A task that does not implement RecordTask must fall back to its own
-// Objective unchanged.
-type opaqueTask struct{ LinearTask }
-
-func (opaqueTask) Objective(ds *dataset.Dataset) *poly.Quadratic {
-	q := poly.NewQuadratic(ds.D())
-	q.Beta = 42
-	return q
-}
-
-// opaqueTask embeds LinearTask, so it would satisfy RecordTask through
-// promotion; wrap it to strip the methods.
-type opaqueOnly struct{ t opaqueTask }
-
-func (o opaqueOnly) Name() string                                  { return o.t.Name() }
-func (o opaqueOnly) Sensitivity(d int) float64                     { return o.t.Sensitivity(d) }
-func (o opaqueOnly) Objective(ds *dataset.Dataset) *poly.Quadratic { return o.t.Objective(ds) }
-func (o opaqueOnly) Validate(ds *dataset.Dataset) error            { return o.t.Validate(ds) }
-
-func TestParallelObjectiveFallsBackForOpaqueTasks(t *testing.T) {
-	ds := randomTaskDataset(t, LinearTask{}, 10, 2, 19)
-	q := ParallelObjective(opaqueOnly{}, ds, 4)
-	if q.Beta != 42 {
-		t.Fatalf("fallback objective not used: β = %v", q.Beta)
 	}
 }
 

@@ -38,26 +38,26 @@ type Result struct {
 }
 
 // Run executes the functional mechanism (Algorithm 1, plus the Algorithm 2
-// approximation embedded in the task's Objective) on ds with privacy budget
-// eps, drawing noise from rng.
+// approximation embedded in the task's per-record fold) on ds with privacy
+// budget eps, drawing noise from rng: FoldObjective builds the exact
+// objective, RunFromQuadratic releases it.
 //
 // The returned weights are ε-differentially private (2ε under
 // PostProcessResample); everything after the perturbation step is
 // post-processing of the noisy coefficients and consumes no further budget.
-func Run(task Task, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
+func Run(task RecordTask, ds *dataset.Dataset, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
 	// eps/opts are re-validated inside RunFromQuadratic; checking them here
 	// too keeps a bad request from paying for the O(n·d²) objective build.
 	if eps <= 0 {
 		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if err := task.Validate(ds); err != nil {
 		return nil, err
 	}
-	exact := governedObjective(task, ds, opts.Parallelism, opts.Governor, opts.Probe, opts.FastMath)
-	return RunFromQuadratic(task, exact, eps, rng, opts)
+	return RunFromQuadratic(task, FoldObjective(task, ds, opts), eps, rng, opts)
 }
 
 // RunFromQuadratic executes the mechanism's release step — perturbation plus
@@ -78,7 +78,7 @@ func RunFromQuadratic(task Task, exact *poly.Quadratic, eps float64, rng *rand.R
 	if eps <= 0 {
 		return nil, fmt.Errorf("core: non-positive privacy budget %v", eps)
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()

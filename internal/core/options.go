@@ -45,10 +45,9 @@ func (p PostProcess) String() string {
 // when accumulation finishes. Acquire may block until capacity frees up. A
 // Governor must be safe for concurrent use.
 //
-// Under a governor the worker count of a given run depends on what else is
-// in flight, so coefficients are reproducible only to floating-point
-// round-off across identically-seeded runs (the summation tree varies); the
-// privacy calibration is unaffected, exactly as with WithParallelism.
+// The grant sets only how many goroutines work through the run's fixed
+// shard plan (FoldPlan), never the shards, so the coefficients — and every
+// release from them at a fixed seed — are bit-identical whatever the grant.
 type Governor interface {
 	Acquire(want int) (granted int, release func())
 }
@@ -161,8 +160,8 @@ type Options struct {
 	Parallelism int
 	// Governor, when non-nil, arbitrates the resolved worker count against
 	// other runs in flight in the same process (a serving layer's global
-	// parallelism cap). The run requests its effective parallelism and uses
-	// only what the governor grants.
+	// parallelism cap). The run requests one worker per planned shard and
+	// uses only what the governor grants; the shards stay the same.
 	Governor Governor
 	// Probe, when non-nil, receives phase boundaries (kernel, solve, noise)
 	// so a serving layer can attribute per-request time without core owning
@@ -189,7 +188,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func (o Options) validate() error {
+// Validate rejects option values no run accepts. Callers that fold before
+// releasing check it first, so a bad request never pays for the fold.
+func (o Options) Validate() error {
 	if o.LambdaFactor < 0 {
 		return fmt.Errorf("core: negative LambdaFactor %v", o.LambdaFactor)
 	}

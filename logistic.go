@@ -80,8 +80,9 @@ func (m *LogisticModel) booleanLabels(ds *Dataset) ([]float64, error) {
 	return out, nil
 }
 
-// prepare binarizes (optionally), augments (optionally) and normalizes for
-// the logistic task.
+// prepareLogistic binarizes (optionally), augments (optionally) and
+// normalizes a copy of ds for the non-private LogisticRegressionExact
+// baseline; the private fits fold the records in place instead.
 func prepareLogistic(ds *Dataset, cfg config) (*dataset.Dataset, *dataset.Normalizer, error) {
 	inner := ds.inner
 	if cfg.threshold != nil {

@@ -47,15 +47,17 @@ func WithLambdaFactor(f float64) Option {
 	return func(c *config) { c.opts.LambdaFactor = f }
 }
 
-// WithParallelism bounds the worker pool that accumulates the objective —
-// the fit's only pass over the records, and its dominant cost for large
-// datasets. n = 0 (the default) uses runtime.GOMAXPROCS(0); n = 1 forces the
-// serial sweep. The knob affects throughput only: noise is drawn after
-// accumulation from the same deterministic stream, so the privacy guarantee
-// and the WithSeed reproducibility contract are unchanged at a fixed n.
-// Coefficients accumulated at different parallelism levels agree to
-// floating-point round-off (the summation tree differs), so models fitted
-// with the same seed but different n can differ in their last bits.
+// WithParallelism fixes the reduction plan of the fold that accumulates the
+// objective — the fit's only pass over the records, and its dominant cost
+// for large datasets: the records split into one shard per worker (at least
+// 2048 records each), folded in parallel and merged in shard order. n = 0
+// (the default) uses runtime.GOMAXPROCS(0); n = 1 forces the serial sweep.
+// The knob affects throughput only: noise is drawn after accumulation from
+// the same deterministic stream, so the privacy guarantee and the WithSeed
+// reproducibility contract are unchanged at a fixed n. Coefficients
+// accumulated at different parallelism levels agree to floating-point
+// round-off (the summation tree differs), so models fitted with the same
+// seed but different n can differ in their last bits.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.opts.Parallelism = n }
 }
@@ -87,13 +89,11 @@ type Governor = core.Governor
 // parallelism under a GOMAXPROCS-derived cap. Acquire may block until
 // capacity frees, delaying the fit rather than degrading neighbours.
 //
-// Under SealDataset the grant decides only how many goroutines work through
-// a fixed shard plan, so the sealed coefficients — and every fit released
-// from them at a fixed seed, which is how fmserve serves /v1/fit — are
-// bit-identical whatever the grant. FitTask still sizes its shards from the
-// grant, so its models under a governor are reproducible only to
-// floating-point round-off across runs (the WithParallelism caveat). The
-// privacy guarantee is unchanged either way. A nil governor is ignored.
+// The grant decides only how many goroutines work through the fixed shard
+// plan WithParallelism sets, never the shards, so FitTask's models, sealed
+// coefficients and every fit released from them (which is how fmserve
+// serves /v1/fit) are bit-identical at a fixed seed whatever the grant. The
+// privacy guarantee is unchanged. A nil governor is ignored.
 func WithGovernor(g Governor) Option {
 	return func(c *config) { c.opts.Governor = g }
 }
@@ -114,9 +114,11 @@ func WithProbe(p Probe) Option {
 }
 
 // WithSeed makes the mechanism's noise deterministic — for reproduction and
-// tests. Without a seed (or WithRand), a random seed is drawn. For models
-// that are bit-identical across machines, combine with WithParallelism(1);
-// otherwise the objective's summation order follows the core count.
+// tests. Without a seed (or WithRand), a random seed is drawn. At a fixed
+// seed and an explicit WithParallelism the weights are bit-identical run to
+// run, whatever a governor grants; the default parallelism follows the core
+// count, so for bits that match across machines pin it (WithParallelism(1)
+// is the portable choice).
 func WithSeed(seed int64) Option {
 	return func(c *config) { c.seed = seed; c.hasSeed = true }
 }

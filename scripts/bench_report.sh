@@ -14,7 +14,8 @@
 # plus a machine-readable summary of the headline series (ns/op and
 # allocs/op per benchmark, averaged across -count repetitions). CI runs this
 # in the bench job and scripts/bench_check.sh gates regressions against the
-# committed file.
+# committed file. BenchmarkFitTask (the library's one-shot fit, seal plus
+# release) is reported here but not gated.
 #
 # Environment:
 #   BENCH_COUNT   repetitions per benchmark (default 5)
@@ -27,7 +28,7 @@ command -v jq >/dev/null || { echo "bench-report: jq is required" >&2; exit 1; }
 
 COUNT="${BENCH_COUNT:-5}"
 OUT="${BENCH_OUT:-BENCH_pr9.json}"
-PATTERN='BenchmarkObjective|BenchmarkIngest|BenchmarkColumnarKernel|BenchmarkRefitFromStream'
+PATTERN='BenchmarkObjective|BenchmarkIngest|BenchmarkColumnarKernel|BenchmarkRefitFromStream|BenchmarkFitTask'
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 

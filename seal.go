@@ -16,18 +16,24 @@ import (
 // NewAccumulator; WithParallelism fixes the reduction plan; WithGovernor
 // and WithProbe apply as for FitTask, the probe seeing the kernel phase.
 //
-// The reduction plan is fixed: ds splits into the shards FitTask uses at
-// the same parallelism, each shard folds into its own partial, and the
+// The reduction plan is fixed: ds splits into core.FoldPlan's shards for
+// the requested parallelism, each shard folds into its own partial, and the
 // partials merge in shard order. A governor's grant decides only how many
 // goroutines work through those shards, never the shards themselves, so the
 // sealed coefficients — and every fit released from them at a fixed seed —
-// are bit-identical whatever the grant, and on the reproducible tier equal
-// to FitTask's at that parallelism with a full grant. Records stream
-// through pooled tile-sized scratch; ds itself is never copied.
+// are bit-identical whatever the grant, and equal to FitTask's at that
+// parallelism (FitTask is this seal, restricted to one fold, plus a
+// release). Records stream through pooled tile-sized scratch; ds itself is
+// never copied.
 //
 // Like any Accumulator the result holds raw sums, as sensitive as ds.
 func SealDataset(ds *Dataset, opts ...Option) (*Accumulator, error) {
-	cfg := buildConfig(opts)
+	return sealDataset(ds, buildConfig(opts), "")
+}
+
+// sealDataset is SealDataset over a built config, maintaining only the fold
+// named by only (every fold when only is empty).
+func sealDataset(ds *Dataset, cfg config, only string) (*Accumulator, error) {
 	if cfg.opts.Parallelism < 0 {
 		return nil, fmt.Errorf("funcmech: negative parallelism %d", cfg.opts.Parallelism)
 	}
@@ -40,7 +46,7 @@ func SealDataset(ds *Dataset, opts ...Option) (*Accumulator, error) {
 	errs := make([]error, len(shards))
 	schema := ds.Schema()
 	for i := range parts {
-		parts[i] = newAccumulator(schema, cfg)
+		parts[i] = newAccumulator(schema, cfg, only)
 	}
 	tier := core.KernelTier(parts[0].d, cfg.opts.FastMath)
 	core.RunShards(len(shards), cfg.opts.Governor, cfg.opts.Probe, tier, func(i int) {

@@ -13,11 +13,12 @@ import (
 // This file is the task-generic fit surface: every regression family the
 // mechanism can release is described by a core.TaskSpec in the task
 // registry, and FitTask / FitTaskFromAccumulator resolve a task by name and
-// run the shared pipeline — normalize per the spec's target rule, build the
-// spec's degree-2 objective, perturb, solve. The named entry points
-// (LinearRegression, LogisticRegression, …) are thin views over this
-// surface, so registering a new task makes it servable everywhere without
-// touching any of the layers above.
+// release it from the spec's fold — the coefficient sums of its degree-2
+// objective, which FitTask seals from the dataset on the spot and a stream
+// or a SealDataset caller has already folded — by perturbing and solving.
+// The named entry points (LinearRegression, LogisticRegression, …) are thin
+// views over this surface, so registering a new task makes it servable
+// everywhere without touching any of the layers above.
 
 // ErrUnknownTask is returned when a task name does not resolve in the
 // registry. Callers can match it with errors.Is; the message enumerates the
@@ -99,23 +100,6 @@ func taskFor(spec core.TaskSpec, cfg config) (core.BlockTask, error) {
 		return nil, fmt.Errorf("funcmech: %w", err)
 	}
 	return task, nil
-}
-
-// prepareTask derives the normalized training representation the spec's
-// target rule prescribes.
-func prepareTask(ds *Dataset, spec core.TaskSpec, cfg config) (*dataset.Dataset, *dataset.Normalizer, error) {
-	if spec.Target == core.TargetBoolean {
-		return prepareLogistic(ds, cfg)
-	}
-	if cfg.threshold != nil {
-		return nil, nil, errors.New("funcmech: WithBinarizeThreshold applies only to boolean-target tasks")
-	}
-	inner := ds.inner
-	if cfg.intercept {
-		inner = withInterceptColumn(inner)
-	}
-	nz := dataset.NewNormalizer(inner.Schema)
-	return nz.NormalizeForLinear(inner), nz, nil
 }
 
 // TaskModel is the model a task-generic fit releases: the private weights
@@ -205,6 +189,12 @@ func (m *TaskModel) MisclassificationRate(ds *Dataset) (float64, error) {
 // task over ds — the task-generic face of LinearRegression and friends, and
 // the single entry point the serving layers resolve every request through.
 // Unknown names wrap ErrUnknownTask.
+//
+// A one-shot fit is a fold followed by a release: after the options are
+// checked, ds is sealed into the requested task's fold alone (the fold
+// SealDataset would build for it, on the same reduction plan, with no copy
+// of ds), and the fold is released exactly as FitTaskFromAccumulator
+// releases it. The sums never leave this call.
 func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskModel, *Report, error) {
 	spec, ok := core.LookupTask(task)
 	if !ok {
@@ -215,18 +205,22 @@ func FitTask(ds *Dataset, task string, epsilon float64, opts ...Option) (*TaskMo
 	if err != nil {
 		return nil, nil, err
 	}
-	norm, nz, err := prepareTask(ds, spec, cfg)
+	// Everything the release would refuse is refused before the O(n·d²)
+	// fold pays for it.
+	if epsilon <= 0 {
+		return nil, nil, fmt.Errorf("funcmech: non-positive privacy budget %v", epsilon)
+	}
+	if err := cfg.opts.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if cfg.threshold != nil && spec.Target != core.TargetBoolean {
+		return nil, nil, errors.New("funcmech: WithBinarizeThreshold applies only to boolean-target tasks")
+	}
+	a, err := sealDataset(ds, cfg, spec.Fold)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.Run(ct, norm, epsilon, cfg.rng, cfg.opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &TaskModel{
-		task: infoFromSpec(spec), weights: res.Weights, nz: nz, schema: ds.Schema(),
-		threshold: cfg.threshold, intercept: cfg.intercept,
-	}, reportFrom(res), nil
+	return release(a, spec, ct, epsilon, cfg)
 }
 
 // FitTaskFromAccumulator fits the named task from streamed coefficients,
@@ -247,6 +241,12 @@ func FitTaskFromAccumulator(a *Accumulator, task string, epsilon float64, opts .
 	if err != nil {
 		return nil, nil, err
 	}
+	return release(a, spec, ct, epsilon, cfg)
+}
+
+// release perturbs and solves the spec's fold of a — the step every fit
+// shares — and wraps the weights in a model carrying a's geometry.
+func release(a *Accumulator, spec core.TaskSpec, ct core.BlockTask, epsilon float64, cfg config) (*TaskModel, *Report, error) {
 	f := a.fold(spec.Fold)
 	if f == nil {
 		return nil, nil, fmt.Errorf("funcmech: accumulator has no fold for task %q", spec.Name)
